@@ -14,10 +14,17 @@ let bits_for_range max_value =
   in
   loop 0 1
 
-let bits_needed kind g =
-  match kind with
-  | Hops -> bits_for_range (Pr_graph.Dijkstra.diameter_hops g)
-  | Weighted ->
-      bits_for_range (int_of_float (Float.ceil (Pr_graph.Dijkstra.diameter_weight g)))
+let bits_of_trees kind trees =
+  let d = ref 0.0 in
+  Array.iter
+    (fun tree ->
+      for v = 0 to Array.length trees - 1 do
+        if Pr_graph.Dijkstra.reachable tree v then
+          d := Float.max !d (value kind tree v)
+      done)
+    trees;
+  bits_for_range (int_of_float (Float.ceil !d))
+
+let bits_needed kind g = bits_of_trees kind (Pr_graph.Dijkstra.all_roots g)
 
 let to_string = function Hops -> "hops" | Weighted -> "weighted"

@@ -20,4 +20,8 @@ val bits_needed : kind -> Pr_graph.Graph.t -> int
     [d] is the (hop or weighted, rounded up) diameter.  This is the paper's
     O(log2 d) header-overhead claim. *)
 
+val bits_of_trees : kind -> Pr_graph.Dijkstra.tree array -> int
+(** {!bits_needed} over already-built SPF trees, one per root (index =
+    root id, as {!Pr_graph.Dijkstra.all_roots} returns them). *)
+
 val to_string : kind -> string

@@ -10,12 +10,12 @@ type t
 val build : ?kind:Discriminator.kind -> Pr_graph.Graph.t -> t
 (** Default discriminator: {!Discriminator.Hops}. *)
 
-val build_blocked :
-  ?kind:Discriminator.kind -> Pr_graph.Graph.t -> blocked:(int -> bool) -> t
-(** {!build} with the links whose edge index satisfies [blocked] excluded
-    from every SPF run — the control plane's view after administrative
-    link removals.  The discriminator bit budget ({!dd_bits}) is a
-    function of the full graph and does not shrink. *)
+val build_blocked : t -> blocked:(int -> bool) -> t
+(** [base]'s graph and discriminator rebuilt with the links whose edge
+    index satisfies [blocked] excluded from every SPF run — the control
+    plane's view after administrative link removals.  The discriminator
+    bit budget ({!dd_bits}) is a function of the full graph: it is
+    [base]'s and does not shrink. *)
 
 val graph : t -> Pr_graph.Graph.t
 
@@ -37,7 +37,9 @@ val shortest_path : t -> src:int -> dst:int -> int list option
 (** The concrete path forwarding would take, [src; ...; dst]. *)
 
 val dd_bits : t -> int
-(** DD bits PR needs with this table's discriminator on this graph. *)
+(** DD bits PR needs with this table's discriminator on this graph —
+    {!Discriminator.bits_needed}, folded once at {!build} from the trees
+    it already holds. *)
 
 val quantise_dd : t -> float -> int
 (** Discriminator value as carried in the DD bits (identity for hop

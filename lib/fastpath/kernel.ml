@@ -94,6 +94,18 @@ type t = {
   mutable fault_node : int;
   mutable fault_aux : int;
   mutable fault_dd : float;
+  (* Loop detection for [batch_walk] (Brent): the walk state snapshotted at
+     a slow-path decision — node, arrival port, PR bit, shortcut hint and
+     latch; the carried DD sits in [fbuf.(f_cy_dd)] — the TTL it was taken
+     at, and the hops until the next snapshot is due.  [cy_x = -1]: no
+     snapshot; [cy_power = max_int]: detection off for this walk. *)
+  mutable cy_x : int;
+  mutable cy_ap : int;
+  mutable cy_pr : bool;
+  mutable cy_sc : int;
+  mutable cy_sat : bool;
+  mutable cy_ttl : int;
+  mutable cy_power : int;
 }
 
 (* [fbuf] slots. *)
@@ -102,6 +114,8 @@ let f_in_dd = 0   (* DD carried by the header arriving at this hop *)
 let f_out_dd = 1  (* DD stamped on the forwarded header by [decide] *)
 
 let f_cost = 2    (* weighted cost of the walk so far *)
+
+let f_cy_dd = 3   (* carried DD of the loop-detection snapshot *)
 
 (* Repaint [t.admin] from the image's administrative link state. *)
 let load_admin t =
@@ -139,7 +153,7 @@ let create fib =
     admin = Bytes.make (n * ports) '\001';
     default_ttl = Forward.default_ttl (Fib.graph fib);
     degr = Array.make 8 0;
-    fbuf = Array.make 3 0.0;
+    fbuf = Array.make 4 0.0;
     degr_len = 0;
     out_port = -1;
     out_pr = false;
@@ -165,6 +179,13 @@ let create fib =
     fault_node = -1;
     fault_aux = -1;
     fault_dd = 0.0;
+    cy_x = -1;
+    cy_ap = -1;
+    cy_pr = false;
+    cy_sc = 0;
+    cy_sat = false;
+    cy_ttl = 0;
+    cy_power = max_int;
   }
   in
   load_admin t;
@@ -1061,6 +1082,104 @@ let account_corrupt t c ~hops =
       Probe.record_drop prb ~reason:Probe.reason_corrupt ~hops
         ~depth:(probe_depth t c)
 
+(* Fast-forward [k] whole cycles of a looping batch walk, whose state at
+   [x0] recurs every [lam] hops.  One replay of the cycle through [decide]
+   (the fast-path hops included: on them [decide] forwards exactly as the
+   fast path does) tallies the per-cycle counter deltas and bumps the
+   cycle's link-load slots by [k]; the counters and the probe then take [k]
+   times the deltas.  The replay ends in the state it started from, so the
+   caller goes on with [k * lam] fewer hops left.  Sampled latencies are
+   not replayed. *)
+let skip_cycles t c ~dd_term ~quantise ~max_dd_q ~dst ~lam ~k x0 ap0 pr0 =
+  let sink = t.trace in
+  t.trace <- Trace.null;
+  let hits0 = t.hits in
+  let x = ref x0 and ap = ref ap0 and pr = ref pr0 in
+  let episodes = ref 0 and shortcuts = ref 0 in
+  let retries = ref 0 and lfa = ref 0 and sats = ref 0 in
+  for _ = 1 to lam do
+    t.degr_len <- 0;
+    let code =
+      decide t ~dd_term ~quantise ~max_dd_q ~hops_left:lam ~guard:0 ~dst
+        ~x:!x ~arrived_port:!ap ~pr:!pr
+    in
+    assert (code = 0);
+    for j = 0 to t.degr_len - 1 do
+      let d = t.degr.(j) in
+      if d = d_retry then incr retries
+      else if d = d_lfa then incr lfa
+      else incr sats
+    done;
+    if t.out_started then incr episodes;
+    if t.out_shortcut then incr shortcuts;
+    let slot = (!x * t.ports) + t.out_port in
+    let ll = t.ll in
+    if Array.length ll <> 0 then begin
+      let i = (slot * 4) + hop_cls t in
+      ll.(i) <- ll.(i) + k
+    end;
+    track_seen t !x;
+    let next = t.port_node.(slot) in
+    ap := t.node_port.((next * t.n) + !x);
+    t.fbuf.(f_in_dd) <- t.fbuf.(f_out_dd);
+    x := next;
+    pr := t.out_pr
+  done;
+  assert (!x = x0 && !ap = ap0 && !pr = pr0);
+  t.trace <- sink;
+  t.hits <- hits0 + (k * (t.hits - hits0));
+  c.pr_episodes <- c.pr_episodes + (k * !episodes);
+  c.shortcut_exits <- c.shortcut_exits + (k * !shortcuts);
+  c.complementary_retries <- c.complementary_retries + (k * !retries);
+  c.lfa_rescues <- c.lfa_rescues + (k * !lfa);
+  c.dd_saturations <- c.dd_saturations + (k * !sats);
+  match t.probe with
+  | None -> ()
+  | Some prb ->
+      prb.Probe.pr_episodes <- prb.Probe.pr_episodes + (k * !episodes);
+      prb.Probe.shortcut_exits <- prb.Probe.shortcut_exits + (k * !shortcuts);
+      prb.Probe.complementary_retries <-
+        prb.Probe.complementary_retries + (k * !retries);
+      prb.Probe.lfa_rescues <- prb.Probe.lfa_rescues + (k * !lfa);
+      prb.Probe.dd_saturations <- prb.Probe.dd_saturations + (k * !sats)
+
+(* Brent's cycle detection at a slow-path decision of [batch_walk]: compare
+   the walk state with the snapshot, and on a match skip every whole cycle
+   that still fits in the TTL — at least one hop is left, so the caller's
+   [decide] and TTL verdict run as before.  Otherwise take a new snapshot
+   once [cy_power] hops have passed since the last one, doubling the
+   interval.  Every cycle holds a slow-path decision (fast-path hops
+   strictly descend the shortest-path tree), so a loop is caught within
+   O(pre-period + cycle) hops.  Returns the hops left. *)
+let cycle_check t c ~dd_term ~quantise ~max_dd_q ~dst x arrived_port pr ttl =
+  if
+    x = t.cy_x && arrived_port = t.cy_ap && pr = t.cy_pr
+    && t.sc_bits = t.cy_sc && t.sc_sat = t.cy_sat
+    && Array.unsafe_get t.fbuf f_in_dd = Array.unsafe_get t.fbuf f_cy_dd
+  then begin
+    let lam = t.cy_ttl - ttl in
+    let k = (ttl - 1) / lam in
+    t.cy_x <- -1;
+    t.cy_power <- max_int;
+    if k > 0 then
+      skip_cycles t c ~dd_term ~quantise ~max_dd_q ~dst ~lam ~k x arrived_port
+        pr;
+    ttl - (k * lam)
+  end
+  else begin
+    if t.cy_ttl - ttl >= t.cy_power then begin
+      t.cy_x <- x;
+      t.cy_ap <- arrived_port;
+      t.cy_pr <- pr;
+      t.cy_sc <- t.sc_bits;
+      t.cy_sat <- t.sc_sat;
+      Array.unsafe_set t.fbuf f_cy_dd (Array.unsafe_get t.fbuf f_in_dd);
+      t.cy_ttl <- ttl;
+      t.cy_power <- max 1 (2 * t.cy_power)
+    end;
+    ttl
+  end
+
 (* Same walk as {!run_one}, counters instead of trace capture — a
    top-level function so the whole source-to-verdict walk allocates
    nothing.  All arguments are immediates; the carried DD and the cost
@@ -1151,6 +1270,11 @@ let rec batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard ~src ~dst x
       end
     end
     else begin
+    let ttl =
+      if x = t.cy_x || t.cy_ttl - ttl >= t.cy_power then
+        cycle_check t c ~dd_term ~quantise ~max_dd_q ~dst x arrived_port pr ttl
+      else ttl
+    in
     t.degr_len <- 0;
     let code =
       match t.probe with
@@ -1280,6 +1404,11 @@ let forward_into ?(termination = Forward.Distance_discriminator)
   c.injected <- c.injected + 1;
   t.walk_ttl0 <- ttl0;
   t.walk_ep0 <- c.pr_episodes;
+  (* A walk under a budget guard keeps the TTL walk: its ladder depends on
+     the hops left, and a rescued loop's stretch is a per-hop float sum. *)
+  t.cy_x <- -1;
+  t.cy_ttl <- ttl0;
+  t.cy_power <- (if budget_guard > 0 then max_int else 0);
   t.fbuf.(f_in_dd) <- 0.0;
   t.fbuf.(f_cost) <- 0.0;
   batch_walk t c ~dd_term ~quantise ~max_dd_q ~guard:budget_guard ~src ~dst src

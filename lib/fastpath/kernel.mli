@@ -246,7 +246,16 @@ val forward_into :
   unit
 (** {!run_one} without trace capture: walk the packet and account the
     verdict straight into [counters].  Allocation-free.  Delivered
-    stretch is [walk cost / SPF distance], the engine's definition. *)
+    stretch is [walk cost / SPF distance], the engine's definition.
+
+    A looped walk costs O(pre-period + cycle), not O(TTL): the walk
+    detects a recurring state at its slow-path decisions (Brent) and
+    adds the remaining whole cycles to [counters], the probe and the
+    link-load table arithmetically, then walks the last partial cycle,
+    so every count equals {!run_one}'s.  With [budget_guard > 0] the
+    walk keeps the hop-by-hop TTL walk.  Sampled slow-path latencies
+    (the probe's latency histograms, outside
+    {!Pr_telemetry.Probe.equal_counts}) file fewer samples on loops. *)
 
 val record_unreachable : counters -> unit
 (** Account a packet whose endpoints the caller found disconnected (the

@@ -130,7 +130,8 @@ let induced t nodes =
   (create ~n:(Array.length mapping) (List.rev kept), mapping)
 
 let equal_structure a b =
-  n a = n b && m a = m b
+  a == b
+  || n a = n b && m a = m b
   && fold_edges
        (fun _ e acc -> acc && has_edge b e.u e.v && weight b e.u e.v = e.w)
        a true

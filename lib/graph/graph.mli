@@ -65,6 +65,8 @@ val induced : t -> int list -> t * int array
     together with the mapping from new ids to original ids. *)
 
 val equal_structure : t -> t -> bool
-(** Same node count and same weighted edge set. *)
+(** Same node count and same weighted edge set.  A graph is compared
+    with itself in O(1), so per-batch checks against the graph an image
+    was compiled from cost nothing. *)
 
 val pp : Format.formatter -> t -> unit

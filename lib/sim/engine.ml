@@ -660,7 +660,7 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
       admin_failures :=
         (if down = [] then None else Some (Pr_core.Failure.of_list g down));
       cur_routing :=
-        Pr_core.Routing.build_blocked ~kind:(Pr_core.Routing.kind routing) g
+        Pr_core.Routing.build_blocked routing
           ~blocked:(fun i -> not admin.(i));
       (if use_compiled then begin
          let store = Lazy.force swap_store in

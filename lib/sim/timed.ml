@@ -356,7 +356,7 @@ let run ?observer ?probe ?linkload ?series config ~link_events ~injections =
       admin_failures :=
         (if down = [] then None else Some (Pr_core.Failure.of_list g down));
       cur_routing :=
-        Pr_core.Routing.build_blocked ~kind:(Pr_core.Routing.kind routing) g
+        Pr_core.Routing.build_blocked routing
           ~blocked:(fun i -> not admin.(i))
     end
   in

@@ -82,3 +82,38 @@ let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 let grid_with_rotation ~rows ~cols =
   let topo = Pr_topo.Generate.grid ~rows ~cols in
   (topo, Pr_embed.Geometric.of_topology topo)
+
+(* Account one [Kernel.run_one] result the way [Kernel.forward_into]
+   accounts it: the oracle for the batch walk's counters. *)
+let account_run_one fib (c : Pr_fastpath.Kernel.counters) ~src ~dst
+    (r : Pr_fastpath.Kernel.result) =
+  let module Kernel = Pr_fastpath.Kernel in
+  let module Forward = Pr_core.Forward in
+  c.injected <- c.injected + 1;
+  (match r.Kernel.outcome with
+  | Forward.Delivered ->
+      c.delivered <- c.delivered + 1;
+      let stretch =
+        r.Kernel.cost /. Pr_fastpath.Fib.distance fib ~node:src ~dst
+      in
+      c.stretch_sum <- c.stretch_sum +. stretch;
+      if stretch > c.worst_stretch then c.worst_stretch <- stretch
+  | Forward.Ttl_exceeded -> c.looped <- c.looped + 1
+  | Forward.Dropped_no_interface | Forward.Dropped_unreachable
+  | Forward.Dropped_corrupt ->
+      c.dropped <- c.dropped + 1);
+  (match r.Kernel.reason with
+  | None -> ()
+  | Some reason ->
+      let i = Kernel.reason_index reason in
+      c.drops_by_reason.(i) <- c.drops_by_reason.(i) + 1);
+  List.iter
+    (function
+      | Forward.Retry_complementary ->
+          c.complementary_retries <- c.complementary_retries + 1
+      | Forward.Lfa_rescue -> c.lfa_rescues <- c.lfa_rescues + 1
+      | Forward.Dd_saturated -> c.dd_saturations <- c.dd_saturations + 1)
+    r.Kernel.degradations;
+  c.shortcut_exits <- c.shortcut_exits + r.Kernel.shortcuts;
+  c.pr_episodes <- c.pr_episodes + r.Kernel.pr_episodes;
+  c.failure_hits <- c.failure_hits + r.Kernel.failure_hits

@@ -420,40 +420,8 @@ let test_forward_into_matches_run_one () =
   List.iter
     (fun (src, dst) ->
       Kernel.forward_into ~dd_bits ~budget_guard kernel got ~src ~dst;
-      let r = Kernel.run_one ~dd_bits ~budget_guard kernel ~src ~dst in
-      expect.Kernel.injected <- expect.Kernel.injected + 1;
-      (match r.Kernel.outcome with
-      | Forward.Delivered ->
-          expect.Kernel.delivered <- expect.Kernel.delivered + 1;
-          let stretch = r.Kernel.cost /. Fib.distance fib ~node:src ~dst in
-          expect.Kernel.stretch_sum <- expect.Kernel.stretch_sum +. stretch;
-          if stretch > expect.Kernel.worst_stretch then
-            expect.Kernel.worst_stretch <- stretch
-      | Forward.Ttl_exceeded -> expect.Kernel.looped <- expect.Kernel.looped + 1
-      | Forward.Dropped_no_interface | Forward.Dropped_unreachable
-      | Forward.Dropped_corrupt ->
-          expect.Kernel.dropped <- expect.Kernel.dropped + 1);
-      (match r.Kernel.reason with
-      | None -> ()
-      | Some reason ->
-          let i = Kernel.reason_index reason in
-          expect.Kernel.drops_by_reason.(i) <-
-            expect.Kernel.drops_by_reason.(i) + 1);
-      List.iter
-        (fun d ->
-          match d with
-          | Forward.Retry_complementary ->
-              expect.Kernel.complementary_retries <-
-                expect.Kernel.complementary_retries + 1
-          | Forward.Lfa_rescue ->
-              expect.Kernel.lfa_rescues <- expect.Kernel.lfa_rescues + 1
-          | Forward.Dd_saturated ->
-              expect.Kernel.dd_saturations <- expect.Kernel.dd_saturations + 1)
-        r.Kernel.degradations;
-      expect.Kernel.pr_episodes <-
-        expect.Kernel.pr_episodes + r.Kernel.pr_episodes;
-      expect.Kernel.failure_hits <-
-        expect.Kernel.failure_hits + r.Kernel.failure_hits)
+      Helpers.account_run_one fib expect ~src ~dst
+        (Kernel.run_one ~dd_bits ~budget_guard kernel ~src ~dst))
     (Helpers.all_pairs g);
   Alcotest.(check bool) "counters identical" true
     (Kernel.equal_counters got expect)

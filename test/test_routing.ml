@@ -35,6 +35,38 @@ let test_dd_bits () =
   let g = (Pr_topo.Abilene.topology ()).Pr_topo.Topology.graph in
   Alcotest.(check int) "abilene dd bits" 3 (Routing.dd_bits (Routing.build g))
 
+(* [dd_bits] is folded once from the routing trees; it must be the value
+   Discriminator.bits_needed recomputes from the graph, for both kinds, and
+   a blocked rebuild keeps the full graph's value. *)
+let test_dd_bits_eager () =
+  List.iter
+    (fun topo ->
+      let g = topo.Pr_topo.Topology.graph in
+      List.iter
+        (fun kind ->
+          let name =
+            topo.Pr_topo.Topology.name ^ " "
+            ^ Pr_core.Discriminator.to_string kind
+          in
+          let expect = Pr_core.Discriminator.bits_needed kind g in
+          let r = Routing.build ~kind g in
+          Alcotest.(check int) (name ^ " dd bits") expect (Routing.dd_bits r);
+          (* Block every third link: the SPF trees change, the bit budget
+             does not. *)
+          let blocked =
+            Routing.build_blocked r ~blocked:(fun i -> i mod 3 = 0)
+          in
+          Alcotest.(check int) (name ^ " blocked dd bits") expect
+            (Routing.dd_bits blocked);
+          Alcotest.(check bool) (name ^ " blocked keeps the kind") true
+            (Routing.kind blocked = kind))
+        [ Pr_core.Discriminator.Hops; Pr_core.Discriminator.Weighted ])
+    [
+      Pr_topo.Abilene.topology ();
+      Pr_topo.Teleglobe.topology ();
+      Pr_topo.Geant.topology ();
+    ]
+
 let qcheck_next_hop_chain_terminates =
   QCheck.Test.make ~name:"routing chains reach every destination" ~count:60
     (Helpers.arb_weighted_connected ())
@@ -75,6 +107,8 @@ let suite =
     Alcotest.test_case "quantise" `Quick test_quantise;
     Alcotest.test_case "memory entries" `Quick test_memory_entries;
     Alcotest.test_case "dd bits" `Quick test_dd_bits;
+    Alcotest.test_case "dd bits folded from the trees" `Quick
+      test_dd_bits_eager;
     QCheck_alcotest.to_alcotest qcheck_next_hop_chain_terminates;
     QCheck_alcotest.to_alcotest qcheck_shortest_path_cost_matches;
   ]
