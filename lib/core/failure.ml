@@ -20,9 +20,7 @@ let of_nodes g nodes =
     (fun v ->
       if v < 0 || v >= Graph.n g then
         invalid_arg "Failure.of_nodes: node out of range";
-      Array.iter
-        (fun u -> Pr_util.Bitset.add failed (Graph.edge_index g v u))
-        (Graph.neighbours g v))
+      Array.iter (Pr_util.Bitset.add failed) (Graph.neighbour_edges g v))
     nodes;
   { g; failed }
 

@@ -82,20 +82,84 @@ let find_mismatch g1 g2 =
    base compiler and {!Delta} so both paths emit identical bytes: RFC
    5286 basic inequality over the administratively live neighbours,
    primary excluded, ordered by cost + remaining distance with ties to
-   the smaller neighbour id. *)
-let lfa_row ~neighbours ~node_port ~n ~x ~dst ~primary ~dist ~cost_of ~live_of =
+   the smaller neighbour id.  Neighbours are scanned in ascending id and
+   insertion-sorted with a strict key comparison, so equal keys keep
+   that order.  The ports land in [out.(pos ..)], the keys in the
+   width-sized scratch [key]; returns the row length. *)
+let lfa_row g ~width ~port_weight ~live ~dist ~x ~dst ~primary ~key ~out ~pos =
+  let n = Graph.n g in
+  let neighbours = Graph.neighbours g x and edges = Graph.neighbour_edges g x in
   let dist_x = dist.((x * n) + dst) in
-  Array.to_list neighbours
-  |> List.filter_map (fun w ->
-         if not (live_of w) then None
-         else
-           let cost = cost_of w in
-           let dist_w = dist.((w * n) + dst) in
-           if w <> primary && dist_w < cost +. dist_x then
-             Some (cost +. dist_w, w)
-           else None)
-  |> List.sort compare
-  |> List.map (fun (_, w) -> node_port.((x * n) + w))
+  let len = ref 0 in
+  for p = 0 to Array.length neighbours - 1 do
+    let w = neighbours.(p) in
+    if w <> primary && live.(edges.(p)) then begin
+      let cost = port_weight.((x * width) + p) in
+      let dist_w = dist.((w * n) + dst) in
+      if dist_w < cost +. dist_x then begin
+        let k = cost +. dist_w in
+        let j = ref !len in
+        while !j > 0 && key.(!j - 1) > k do
+          key.(!j) <- key.(!j - 1);
+          out.(pos + !j) <- out.(pos + !j - 1);
+          decr j
+        done;
+        key.(!j) <- k;
+        out.(pos + !j) <- p;
+        incr len
+      end
+    end
+  done;
+  !len
+
+(* The LFA CSR at its exact size: a first pass counts every row into
+   [lfa_off] (prefix sums), [lfa_ports] is allocated once, and a second
+   pass fills it.  Rows with [fresh x dst] are computed by [lfa_row];
+   every other row is reused from [prev_off]/[prev_ports], one
+   [Array.blit] per run of consecutive reused rows.  [tick x] runs after
+   node [x]'s rows are filled. *)
+let lfa_csr g ~width ~port_node ~port_weight ~next_hop_port ~live ~dist ~fresh
+    ~prev_off ~prev_ports ~tick =
+  let n = Graph.n g in
+  let key = Array.make width 0.0 and scratch = Array.make width 0 in
+  let row x dst ~out ~pos =
+    let p = next_hop_port.((x * n) + dst) in
+    if p < 0 then 0
+    else
+      lfa_row g ~width ~port_weight ~live ~dist ~x ~dst
+        ~primary:port_node.((x * width) + p) ~key ~out ~pos
+  in
+  let lfa_off = Array.make ((n * n) + 1) 0 in
+  for x = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let i = (x * n) + dst in
+      let len =
+        if fresh x dst then row x dst ~out:scratch ~pos:0
+        else prev_off.(i + 1) - prev_off.(i)
+      in
+      lfa_off.(i + 1) <- lfa_off.(i) + len
+    done
+  done;
+  let lfa_ports = Array.make lfa_off.(n * n) 0 in
+  let run = ref 0 (* first row of the pending reused run *) in
+  let flush upto =
+    if upto > !run then
+      Array.blit prev_ports prev_off.(!run) lfa_ports lfa_off.(!run)
+        (prev_off.(upto) - prev_off.(!run))
+  in
+  for x = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      let i = (x * n) + dst in
+      if fresh x dst then begin
+        flush i;
+        run := i + 1;
+        ignore (row x dst ~out:lfa_ports ~pos:lfa_off.(i))
+      end
+    done;
+    tick x
+  done;
+  flush (n * n);
+  (lfa_off, lfa_ports)
 
 (* Sampled per-destination compile costs from the most recent
    span-recorded [of_tables] on this domain: (dst, ns) pairs for every
@@ -129,90 +193,91 @@ let of_tables ?ports routing cycles =
         let recording = Pr_telemetry.Span.recording () in
         if recording then last_costs := [];
         let sample_every = max 1 (n / cost_samples) in
-        let degree = Array.init n (Graph.degree g) in
-        let port_node = Array.make (n * width) (-1) in
-        let port_weight = Array.make (n * width) 0.0 in
-        let node_port = Array.make (n * n) (-1) in
-        Pr_telemetry.Span.timed "fib.compile.ports" (fun () ->
-            for x = 0 to n - 1 do
-              Array.iteri
-                (fun p w ->
-                  port_node.((x * width) + p) <- w;
-                  port_weight.((x * width) + p) <- Graph.weight g x w;
-                  node_port.((x * n) + w) <- p)
-                (Graph.neighbours g x)
-            done);
-        let next_hop_port = Array.make (n * n) (-1) in
-        let disc = Array.make (n * n) infinity in
-        let disc_q = Array.make (n * n) 0 in
-        let distance = Array.make (n * n) infinity in
-        Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
-            for dst = 0 to n - 1 do
-              let sampled = recording && dst mod sample_every = 0 in
-              let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
+        let m = Graph.m g in
+        let degree, port_node, port_weight, node_port, live, eff_weight, sc_width, sc_mask =
+          Pr_telemetry.Span.timed "fib.compile.ports" (fun () ->
+              let port_node = Array.make (n * width) (-1) in
+              let port_weight = Array.make (n * width) 0.0 in
+              let node_port = Array.make (n * n) (-1) in
               for x = 0 to n - 1 do
-                let i = (x * n) + dst in
-                (match Routing.next_hop routing ~node:x ~dst with
-                | Some w -> next_hop_port.(i) <- node_port.((x * n) + w)
-                | None -> ());
-                let v = Routing.disc routing ~node:x ~dst in
-                disc.(i) <- v;
-                disc_q.(i) <- Routing.quantise_dd routing v;
-                distance.(i) <- Routing.distance routing ~node:x ~dst
+                let edges = Graph.neighbour_edges g x in
+                Array.iteri
+                  (fun p w ->
+                    port_node.((x * width) + p) <- w;
+                    port_weight.((x * width) + p) <- (Graph.edge g edges.(p)).w;
+                    node_port.((x * n) + w) <- p)
+                  (Graph.neighbours g x)
               done;
-              if sampled then begin
-                last_costs :=
-                  (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
-                Pr_telemetry.Flight.Progress.tick
-                  ~frac:(0.5 *. float_of_int dst /. float_of_int n)
-                  ()
-              end
-            done);
-        let cycle_col = Array.make (n * width) (-1) in
-        let comp_col = Array.make (n * width) (-1) in
-        Pr_telemetry.Span.timed "fib.compile.cycles" (fun () ->
-            for x = 0 to n - 1 do
-              Array.iteri
-                (fun p w ->
-                  let next = Cycle_table.cycle_next cycles ~node:x ~from_:w in
-                  let next_port = node_port.((x * n) + next) in
-                  cycle_col.((x * width) + p) <- next_port;
-                  (* The complementary cycle of a failed interface starts at the
-                     rotation successor of the failed port — same successor
-                     function, indexed by the failed port rather than the
-                     incoming one. *)
-                  comp_col.((x * width) + p) <- next_port)
-                (Graph.neighbours g x)
-            done);
-        (* LFA candidates per (node, dst): see [lfa_row]. *)
-        let lfa_off = Array.make ((n * n) + 1) 0 in
-        let cand = ref [] (* reversed port list *) in
-        let total = ref 0 in
-        Pr_telemetry.Span.timed "fib.compile.lfa" (fun () ->
-            for x = 0 to n - 1 do
+              let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
+              ( Array.init n (Graph.degree g),
+                port_node,
+                port_weight,
+                node_port,
+                Array.make m true,
+                Array.init m (fun i -> (Graph.edge g i).Graph.w),
+                sc_plan.Pr_core.Seen.width,
+                Array.init n (Pr_core.Seen.mask_of sc_plan) ))
+        in
+        let next_hop_port, disc, disc_q, distance =
+          Pr_telemetry.Span.timed "fib.compile.routes" (fun () ->
+              let next_hop_port = Array.make (n * n) (-1) in
+              let disc = Array.make (n * n) infinity in
+              let disc_q = Array.make (n * n) 0 in
+              let distance = Array.make (n * n) infinity in
               for dst = 0 to n - 1 do
-                let i = (x * n) + dst in
-                lfa_off.(i) <- !total;
-                match Routing.next_hop routing ~node:x ~dst with
-                | None -> ()
-                | Some primary ->
-                    List.iter
-                      (fun p ->
-                        cand := p :: !cand;
-                        incr total)
-                      (lfa_row ~neighbours:(Graph.neighbours g x) ~node_port ~n
-                         ~x ~dst ~primary ~dist:distance
-                         ~cost_of:(fun w -> Graph.weight g x w)
-                         ~live_of:(fun _ -> true))
+                let sampled = recording && dst mod sample_every = 0 in
+                let t0 = if sampled then Pr_telemetry.Probe.now_ns () else 0L in
+                for x = 0 to n - 1 do
+                  let i = (x * n) + dst in
+                  (match Routing.next_hop routing ~node:x ~dst with
+                  | Some w -> next_hop_port.(i) <- node_port.((x * n) + w)
+                  | None -> ());
+                  let v = Routing.disc routing ~node:x ~dst in
+                  disc.(i) <- v;
+                  disc_q.(i) <- Routing.quantise_dd routing v;
+                  distance.(i) <- Routing.distance routing ~node:x ~dst
+                done;
+                if sampled then begin
+                  last_costs :=
+                    (dst, Int64.sub (Pr_telemetry.Probe.now_ns ()) t0) :: !last_costs;
+                  Pr_telemetry.Flight.Progress.tick
+                    ~frac:(0.5 *. float_of_int dst /. float_of_int n)
+                    ()
+                end
               done;
-              if recording && x mod sample_every = 0 then
-                Pr_telemetry.Flight.Progress.tick
-                  ~frac:(0.5 +. (0.5 *. float_of_int x /. float_of_int n))
-                  ()
-            done);
-        lfa_off.(n * n) <- !total;
-        let lfa_ports = Array.of_list (List.rev !cand) in
-        let sc_plan = Pr_core.Seen.plan ~nodes:n ~width:default_sc_width in
+              (next_hop_port, disc, disc_q, distance))
+        in
+        let cycle_col, comp_col =
+          Pr_telemetry.Span.timed "fib.compile.cycles" (fun () ->
+              let cycle_col = Array.make (n * width) (-1) in
+              let comp_col = Array.make (n * width) (-1) in
+              for x = 0 to n - 1 do
+                Array.iteri
+                  (fun p w ->
+                    let next = Cycle_table.cycle_next cycles ~node:x ~from_:w in
+                    let next_port = node_port.((x * n) + next) in
+                    cycle_col.((x * width) + p) <- next_port;
+                    (* The complementary cycle of a failed interface starts at
+                       the rotation successor of the failed port — same
+                       successor function, indexed by the failed port rather
+                       than the incoming one. *)
+                    comp_col.((x * width) + p) <- next_port)
+                  (Graph.neighbours g x)
+              done;
+              (cycle_col, comp_col))
+        in
+        let lfa_off, lfa_ports =
+          Pr_telemetry.Span.timed "fib.compile.lfa" (fun () ->
+              lfa_csr g ~width ~port_node ~port_weight ~next_hop_port ~live
+                ~dist:distance
+                ~fresh:(fun _ _ -> true)
+                ~prev_off:[||] ~prev_ports:[||]
+                ~tick:(fun x ->
+                  if recording && x mod sample_every = 0 then
+                    Pr_telemetry.Flight.Progress.tick
+                      ~frac:(0.5 +. (0.5 *. float_of_int x /. float_of_int n))
+                      ()))
+        in
         Ok
           {
             g;
@@ -232,11 +297,10 @@ let of_tables ?ports routing cycles =
             lfa_off;
             lfa_ports;
             dd_bits = Routing.dd_bits routing;
-            sc_width = sc_plan.Pr_core.Seen.width;
-            sc_mask = Array.init n (Pr_core.Seen.mask_of sc_plan);
-            live = Array.make (Graph.m g) true;
-            eff_weight =
-              Array.init (Graph.m g) (fun i -> (Graph.edge g i).Graph.w);
+            sc_width;
+            sc_mask;
+            live;
+            eff_weight;
           }
   end
 
@@ -848,35 +912,12 @@ module Delta = struct
     (* The LFA CSR is re-laid-out whole (offsets shift), but clean rows
        — destinations with unchanged columns at nodes whose incident
        links were not edited — are copied byte-for-byte. *)
-    let lfa_off = Array.make ((n * n) + 1) 0 in
-    let cand = ref [] (* reversed port list *) in
-    let total = ref 0 in
-    let push p =
-      cand := p :: !cand;
-      incr total
+    let lfa_off, lfa_ports =
+      lfa_csr g ~width:ports ~port_node:t.port_node ~port_weight
+        ~next_hop_port ~live ~dist:distance
+        ~fresh:(fun x dst -> touched.(x) || dirty.(dst))
+        ~prev_off:t.lfa_off ~prev_ports:t.lfa_ports ~tick:ignore
     in
-    for x = 0 to n - 1 do
-      let row_dirty = touched.(x) in
-      for dst = 0 to n - 1 do
-        let i = (x * n) + dst in
-        lfa_off.(i) <- !total;
-        if row_dirty || dirty.(dst) then begin
-          let p = next_hop_port.(i) in
-          if p >= 0 then
-            let primary = t.port_node.((x * ports) + p) in
-            List.iter push
-              (lfa_row ~neighbours:(Graph.neighbours g x)
-                 ~node_port:t.node_port ~n ~x ~dst ~primary ~dist:distance
-                 ~cost_of:(fun w -> eff.(Graph.edge_index g x w))
-                 ~live_of:(fun w -> live.(Graph.edge_index g x w)))
-        end
-        else
-          for j = t.lfa_off.(i) to t.lfa_off.(i + 1) - 1 do
-            push t.lfa_ports.(j)
-          done
-      done
-    done;
-    lfa_off.(n * n) <- !total;
     {
       t with
       port_weight;
@@ -885,7 +926,7 @@ module Delta = struct
       disc_q;
       distance;
       lfa_off;
-      lfa_ports = Array.of_list (List.rev !cand);
+      lfa_ports;
       live;
       eff_weight = eff;
     }

@@ -51,20 +51,26 @@ let component_labels failures =
   let g = Failure.graph failures in
   let n = Graph.n g in
   let label = Array.make n (-1) in
-  let stack = Stack.create () in
+  (* Every node is pushed once, when it is labelled: [n] slots suffice. *)
+  let stack = Array.make n 0 in
   for root = 0 to n - 1 do
     if label.(root) < 0 then begin
       label.(root) <- root;
-      Stack.push root stack;
-      while not (Stack.is_empty stack) do
-        let x = Stack.pop stack in
-        Array.iter
-          (fun w ->
-            if label.(w) < 0 && Failure.link_up failures x w then begin
-              label.(w) <- root;
-              Stack.push w stack
-            end)
-          (Graph.neighbours g x)
+      stack.(0) <- root;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        let x = stack.(!top) in
+        let nbrs = Graph.neighbours g x and via = Graph.neighbour_edges g x in
+        for k = 0 to Array.length nbrs - 1 do
+          let w = nbrs.(k) in
+          if label.(w) < 0 && not (Failure.is_failed_index failures via.(k))
+          then begin
+            label.(w) <- root;
+            stack.(!top) <- w;
+            incr top
+          end
+        done
       done
     end
   done;

@@ -20,14 +20,11 @@ let same_component ?blocked g a b =
   label.(a) = label.(b)
 
 let connected_without g removals =
-  let removed = Hashtbl.create (2 * List.length removals) in
-  List.iter
-    (fun (u, v) -> Hashtbl.replace removed (Graph.edge_index g u v) ())
-    removals;
+  let removed = Array.make (Graph.m g) false in
+  List.iter (fun (u, v) -> removed.(Graph.edge_index g u v) <- true) removals;
   let uf = Pr_util.Union_find.create (Graph.n g) in
   Graph.iter_edges
-    (fun i e ->
-      if not (Hashtbl.mem removed i) then ignore (Pr_util.Union_find.union uf e.u e.v))
+    (fun i e -> if not removed.(i) then ignore (Pr_util.Union_find.union uf e.u e.v))
     g;
   Pr_util.Union_find.count uf <= 1
 
@@ -58,9 +55,8 @@ let lowlinks g =
       let v, cursor = Stack.top stack in
       let nbrs = Graph.neighbours g v in
       if !cursor < Array.length nbrs then begin
-        let w = nbrs.(!cursor) in
+        let w = nbrs.(!cursor) and via = (Graph.neighbour_edges g v).(!cursor) in
         incr cursor;
-        let via = Graph.edge_index g v w in
         if disc.(w) = -1 then begin
           parent_edge.(w) <- via;
           disc.(w) <- !time;
@@ -152,9 +148,10 @@ let blocks g =
     disc.(v) <- !time;
     low.(v) <- !time;
     incr time;
-    Array.iter
-      (fun w ->
-        let via = Graph.edge_index g v w in
+    let via_of = Graph.neighbour_edges g v in
+    Array.iteri
+      (fun k w ->
+        let via = via_of.(k) in
         if disc.(w) = -1 then begin
           parent_edge.(w) <- via;
           Stack.push (canon v w) edge_stack;

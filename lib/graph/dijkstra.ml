@@ -23,9 +23,11 @@ let tree ?(blocked = fun _ -> false) g ~root =
     | Some (d, v) ->
         if not settled.(v) && d <= dist.(v) then begin
           settled.(v) <- true;
-          let relax w =
-            if not settled.(w) && not (blocked (Graph.edge_index g v w)) then begin
-              let candidate = dist.(v) +. Graph.weight g v w in
+          let nbrs = Graph.neighbours g v and via = Graph.neighbour_edges g v in
+          for k = 0 to Array.length nbrs - 1 do
+            let w = nbrs.(k) and e = via.(k) in
+            if not settled.(w) && not (blocked e) then begin
+              let candidate = dist.(v) +. (Graph.edge g e).w in
               if candidate < dist.(w) then begin
                 dist.(w) <- candidate;
                 parent.(w) <- v;
@@ -40,8 +42,7 @@ let tree ?(blocked = fun _ -> false) g ~root =
                 hops.(w) <- hops.(v) + 1
               end
             end
-          in
-          Array.iter relax (Graph.neighbours g v)
+          done
         end;
         drain ()
   in

@@ -3,15 +3,12 @@ type edge = { u : int; v : int; w : float }
 type t = {
   n : int;
   edge_array : edge array;
-  adj : int array array;
-  edge_of : (int, int) Hashtbl.t; (* key u * n + v, both orientations *)
+  adj : int array array;       (* sorted neighbour ids per node *)
+  adj_edge : int array array;  (* [adj_edge.(u).(k)]: index of edge u--adj.(u).(k) *)
 }
-
-let key t u v = (u * t.n) + v
 
 let create ~n edge_list =
   if n < 0 then invalid_arg "Graph.create: negative node count";
-  let seen = Hashtbl.create (2 * List.length edge_list) in
   let canonical =
     List.map
       (fun (u, v, w) ->
@@ -22,9 +19,6 @@ let create ~n edge_list =
         if not (Float.is_finite w) || w <= 0.0 then
           invalid_arg "Graph.create: weights must be finite and positive";
         let u, v = if u < v then (u, v) else (v, u) in
-        if Hashtbl.mem seen (u, v) then
-          invalid_arg (Printf.sprintf "Graph.create: duplicate edge (%d,%d)" u v);
-        Hashtbl.replace seen (u, v) ();
         { u; v; w })
       edge_list
   in
@@ -35,23 +29,36 @@ let create ~n edge_list =
       degree.(e.u) <- degree.(e.u) + 1;
       degree.(e.v) <- degree.(e.v) + 1)
     edge_array;
-  let adj = Array.init n (fun i -> Array.make degree.(i) (-1)) in
+  let adj_edge = Array.init n (fun i -> Array.make degree.(i) (-1)) in
   let fill = Array.make n 0 in
-  Array.iter
-    (fun e ->
-      adj.(e.u).(fill.(e.u)) <- e.v;
-      fill.(e.u) <- fill.(e.u) + 1;
-      adj.(e.v).(fill.(e.v)) <- e.u;
-      fill.(e.v) <- fill.(e.v) + 1)
-    edge_array;
-  Array.iter (fun row -> Array.sort compare row) adj;
-  let t = { n; edge_array; adj; edge_of = Hashtbl.create (4 * Array.length edge_array) } in
+  let add x i =
+    adj_edge.(x).(fill.(x)) <- i;
+    fill.(x) <- fill.(x) + 1
+  in
   Array.iteri
     (fun i e ->
-      Hashtbl.replace t.edge_of (key t e.u e.v) i;
-      Hashtbl.replace t.edge_of (key t e.v e.u) i)
+      add e.u i;
+      add e.v i)
     edge_array;
-  t
+  let other x i =
+    let e = edge_array.(i) in
+    if e.u = x then e.v else e.u
+  in
+  let adj =
+    Array.mapi
+      (fun x row ->
+        Array.sort (fun i j -> compare (other x i) (other x j)) row;
+        let nbrs = Array.map (other x) row in
+        for k = 1 to Array.length nbrs - 1 do
+          if nbrs.(k) = nbrs.(k - 1) then
+            invalid_arg
+              (Printf.sprintf "Graph.create: duplicate edge (%d,%d)"
+                 (min x nbrs.(k)) (max x nbrs.(k)))
+        done;
+        nbrs)
+      adj_edge
+  in
+  { n; edge_array; adj; adj_edge }
 
 let unweighted ~n pairs = create ~n (List.map (fun (u, v) -> (u, v, 1.0)) pairs)
 
@@ -63,6 +70,11 @@ let neighbours t v =
   if v < 0 || v >= t.n then invalid_arg "Graph.neighbours: node out of range";
   t.adj.(v)
 
+let neighbour_edges t v =
+  if v < 0 || v >= t.n then
+    invalid_arg "Graph.neighbour_edges: node out of range";
+  t.adj_edge.(v)
+
 let degree t v = Array.length (neighbours t v)
 
 let max_degree t =
@@ -72,13 +84,25 @@ let max_degree t =
   done;
   !best
 
-let has_edge t u v =
-  u >= 0 && u < t.n && v >= 0 && v < t.n && Hashtbl.mem t.edge_of (key t u v)
+(* Position of [v] in [u]'s sorted adjacency row, or -1: a range check
+   then a binary search, so out-of-range ids never alias a real edge. *)
+let slot t u v =
+  if u < 0 || u >= t.n || v < 0 || v >= t.n then -1
+  else begin
+    let row = t.adj.(u) in
+    let lo = ref 0 and hi = ref (Array.length row) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if row.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    if !lo < Array.length row && row.(!lo) = v then !lo else -1
+  end
+
+let has_edge t u v = slot t u v >= 0
 
 let edge_index t u v =
-  match Hashtbl.find_opt t.edge_of (key t u v) with
-  | Some i -> i
-  | None -> raise Not_found
+  let k = slot t u v in
+  if k < 0 then raise Not_found else t.adj_edge.(u).(k)
 
 let edge t i = t.edge_array.(i)
 
@@ -96,16 +120,16 @@ let iter_edges f t = Array.iteri f t.edge_array
 let total_weight t = Array.fold_left (fun acc e -> acc +. e.w) 0.0 t.edge_array
 
 let without_edges t removals =
-  let removed = Hashtbl.create (2 * List.length removals) in
+  let removed = Array.make (m t) false in
   List.iter
     (fun (u, v) ->
       if not (has_edge t u v) then
         invalid_arg (Printf.sprintf "Graph.without_edges: no edge (%d,%d)" u v);
-      Hashtbl.replace removed (edge_index t u v) ())
+      removed.(edge_index t u v) <- true)
     removals;
   let kept =
     fold_edges
-      (fun i e acc -> if Hashtbl.mem removed i then acc else (e.u, e.v, e.w) :: acc)
+      (fun i e acc -> if removed.(i) then acc else (e.u, e.v, e.w) :: acc)
       t []
   in
   create ~n:t.n (List.rev kept)

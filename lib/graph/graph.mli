@@ -29,19 +29,30 @@ val neighbours : t -> int -> int array
 (** Neighbours in increasing id order.  The returned array is owned by the
     graph and must not be mutated. *)
 
+val neighbour_edges : t -> int -> int array
+(** Edge indices parallel to {!neighbours}: [(neighbour_edges g v).(k)] is
+    [edge_index g v (neighbours g v).(k)].  Owned by the graph; must not
+    be mutated.  Hot loops read it instead of calling {!edge_index} per
+    neighbour. *)
+
 val degree : t -> int -> int
 
 val max_degree : t -> int
 
 val has_edge : t -> int -> int -> bool
+(** Whether [u] and [v] are adjacent; [false] when either id is out of
+    range.  O(log degree): a range check and a binary search of [u]'s
+    sorted adjacency row. *)
 
 val weight : t -> int -> int -> float
 (** Weight of the edge between two adjacent nodes.  Raises [Not_found] if
-    they are not adjacent. *)
+    they are not adjacent or either id is out of range.  O(log degree). *)
 
 val edge_index : t -> int -> int -> int
-(** Dense index in [\[0, m)] of the edge between two adjacent nodes (raises
-    [Not_found] otherwise).  Stable across both orientations. *)
+(** Dense index in [\[0, m)] of the edge between two adjacent nodes.
+    Stable across both orientations.  Raises [Not_found] if they are not
+    adjacent or either id is out of range.  O(log degree), like
+    {!has_edge}. *)
 
 val edge : t -> int -> edge
 (** Edge by dense index. *)

@@ -8,13 +8,14 @@ let bfs ?(blocked = fun _ -> false) g ~source ~visit =
   while not (Queue.is_empty queue) do
     let v = Queue.take queue in
     visit v;
-    let expand w =
-      if hops.(w) = max_int && not (blocked (Graph.edge_index g v w)) then begin
+    let nbrs = Graph.neighbours g v and via = Graph.neighbour_edges g v in
+    for k = 0 to Array.length nbrs - 1 do
+      let w = nbrs.(k) in
+      if hops.(w) = max_int && not (blocked via.(k)) then begin
         hops.(w) <- hops.(v) + 1;
         Queue.add w queue
       end
-    in
-    Array.iter expand (Graph.neighbours g v)
+    done
   done;
   hops
 

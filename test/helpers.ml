@@ -117,3 +117,37 @@ let account_run_one fib (c : Pr_fastpath.Kernel.counters) ~src ~dst
   c.shortcut_exits <- c.shortcut_exits + r.Kernel.shortcuts;
   c.pr_episodes <- c.pr_episodes + r.Kernel.pr_episodes;
   c.failure_hits <- c.failure_hits + r.Kernel.failure_hits
+
+(* The list-based LFA row builder the FIB compiler used before its CSR
+   was filled in place: the oracle for [Fib.lfa_candidates].  RFC 5286
+   basic inequality over the administratively live neighbours, primary
+   excluded, ordered by (cost + remaining distance, neighbour id);
+   returns ports. *)
+let lfa_row ~neighbours ~node_port ~n ~x ~dst ~primary ~dist ~cost_of ~live_of =
+  let dist_x = dist.((x * n) + dst) in
+  Array.to_list neighbours
+  |> List.filter_map (fun w ->
+         if not (live_of w) then None
+         else
+           let cost = cost_of w in
+           let dist_w = dist.((w * n) + dst) in
+           if w <> primary && dist_w < cost +. dist_x then
+             Some (cost +. dist_w, w)
+           else None)
+  |> List.sort compare
+  |> List.map (fun (_, w) -> node_port.((x * n) + w))
+
+(* The oracle's candidate neighbours for one (node, dst) row of an
+   image, read through the image's public accessors. *)
+let lfa_oracle fib ~node ~dst =
+  let module Fib = Pr_fastpath.Fib in
+  match Fib.next_hop fib ~node ~dst with
+  | None -> []
+  | Some primary ->
+      lfa_row
+        ~neighbours:(Graph.neighbours (Fib.graph fib) node)
+        ~node_port:(Fib.raw_node_port fib) ~n:(Fib.n fib) ~x:node ~dst
+        ~primary ~dist:(Fib.raw_distance fib)
+        ~cost_of:(fun w -> Fib.eff_weight fib ~u:node ~v:w)
+        ~live_of:(fun w -> Fib.link_live fib ~u:node ~v:w)
+      |> List.map (fun p -> Fib.neighbour_of fib ~node ~port:p)

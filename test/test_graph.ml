@@ -101,6 +101,60 @@ let qcheck_edge_index_roundtrip =
           acc && Graph.edge_index g e.u e.v = i && Graph.edge_index g e.v e.u = i)
         g true)
 
+(* Out-of-range ids are never adjacent.  Under a [u * n + v] key both
+   (0, 5) and (2, -1) would name edge 1-2 on this path. *)
+let test_out_of_range_lookup () =
+  let g = Graph.create ~n:3 [ (0, 1, 1.0); (1, 2, 2.0) ] in
+  let not_found what f = Alcotest.check_raises what Not_found f in
+  not_found "edge_index 0 5" (fun () -> ignore (Graph.edge_index g 0 5));
+  not_found "weight 0 5" (fun () -> ignore (Graph.weight g 0 5));
+  not_found "edge_index 2 -1" (fun () -> ignore (Graph.edge_index g 2 (-1)));
+  not_found "edge_index -1 2" (fun () -> ignore (Graph.edge_index g (-1) 2));
+  not_found "edge_index 3 0" (fun () -> ignore (Graph.edge_index g 3 0));
+  Alcotest.(check bool) "has_edge 0 5" false (Graph.has_edge g 0 5);
+  Alcotest.(check bool) "has_edge 2 -1" false (Graph.has_edge g 2 (-1));
+  let f = Pr_core.Failure.of_list g [ (1, 2) ] in
+  not_found "link_up 0 5" (fun () -> ignore (Pr_core.Failure.link_up f 0 5))
+
+let qcheck_adjacency_consistency =
+  QCheck.Test.make ~name:"neighbour_edges / edge_index / has_edge agree"
+    ~count:100 (Helpers.arb_two_connected ())
+    (fun g ->
+      let n = Graph.n g in
+      let ok = ref true in
+      for u = 0 to n - 1 do
+        let nbrs = Graph.neighbours g u and via = Graph.neighbour_edges g u in
+        if Array.length via <> Array.length nbrs then ok := false
+        else
+          Array.iteri
+            (fun k v ->
+              let e = Graph.edge g via.(k) in
+              if
+                Graph.edge_index g u v <> via.(k)
+                || Graph.edge_index g v u <> via.(k)
+                || (min u v, max u v) <> (e.Graph.u, e.Graph.v)
+              then ok := false)
+            nbrs
+      done;
+      for u = -1 to n do
+        for v = -1 to n do
+          let adjacent =
+            u >= 0 && u < n && Array.mem v (Graph.neighbours g u)
+          in
+          let indexed =
+            match Graph.edge_index g u v with
+            | i -> i >= 0 && i < Graph.m g
+            | exception Not_found -> false
+          in
+          if
+            Graph.has_edge g u v <> adjacent
+            || Graph.has_edge g v u <> adjacent
+            || indexed <> adjacent
+          then ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "create counts" `Quick test_create_counts;
@@ -115,4 +169,7 @@ let suite =
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     QCheck_alcotest.to_alcotest qcheck_degree_sum;
     QCheck_alcotest.to_alcotest qcheck_edge_index_roundtrip;
+    Alcotest.test_case "out-of-range lookups raise Not_found" `Quick
+      test_out_of_range_lookup;
+    QCheck_alcotest.to_alcotest qcheck_adjacency_consistency;
   ]
