@@ -21,6 +21,11 @@ val graph : t -> Pr_graph.Graph.t
 
 val kind : t -> Discriminator.kind
 
+val tree : t -> int -> Pr_graph.Dijkstra.tree
+(** [tree t dst]: the SPF tree rooted at [dst] that the table's [dst]
+    column is read from.  Raises [Invalid_argument] if [dst] is not a
+    node. *)
+
 val next_hop : t -> node:int -> dst:int -> int option
 (** [None] at the destination itself or when the destination is
     unreachable even without failures. *)

@@ -874,45 +874,55 @@ module Delta = struct
             t.g []))
 
   (* Recompile exactly the dirty rows against the effective topology,
-     byte-copying every clean row from the current image. *)
+     byte-copying every clean row from the current image.  Three child
+     spans split the cost: the planes the edit rewrites (effective graph,
+     plane copies, [port_weight]), the dirty destinations' SPF trees and
+     column writes, and the LFA CSR. *)
   let rebuild t ~live ~eff ~dirty ~touched =
     let n = t.n and ports = t.ports and g = t.g in
-    let geff = effective_graph t ~live ~eff in
-    let port_weight = Array.copy t.port_weight in
-    Graph.iter_edges
-      (fun i (e : Graph.edge) ->
-        let w = eff.(i) in
-        port_weight.((e.u * ports) + t.node_port.((e.u * n) + e.v)) <- w;
-        port_weight.((e.v * ports) + t.node_port.((e.v * n) + e.u)) <- w)
-      g;
-    let next_hop_port = Array.copy t.next_hop_port in
-    let disc = Array.copy t.disc in
-    let disc_q = Array.copy t.disc_q in
-    let distance = Array.copy t.distance in
+    let geff, port_weight, next_hop_port, disc, disc_q, distance =
+      Pr_telemetry.Span.timed "fib.delta.planes" @@ fun () ->
+      let geff = effective_graph t ~live ~eff in
+      let port_weight = Array.copy t.port_weight in
+      Graph.iter_edges
+        (fun i (e : Graph.edge) ->
+          let w = eff.(i) in
+          port_weight.((e.u * ports) + t.node_port.((e.u * n) + e.v)) <- w;
+          port_weight.((e.v * ports) + t.node_port.((e.v * n) + e.u)) <- w)
+        g;
+      ( geff,
+        port_weight,
+        Array.copy t.next_hop_port,
+        Array.copy t.disc,
+        Array.copy t.disc_q,
+        Array.copy t.distance )
+    in
     let quantise v =
       match t.kind with
       | Pr_core.Discriminator.Hops -> int_of_float v
       | Pr_core.Discriminator.Weighted -> int_of_float (Float.ceil v)
     in
-    for dst = 0 to n - 1 do
-      if dirty.(dst) then begin
-        let tree = Dijkstra.tree geff ~root:dst in
-        for x = 0 to n - 1 do
-          let i = (x * n) + dst in
-          (match Dijkstra.next_hop tree x with
-          | Some w -> next_hop_port.(i) <- t.node_port.((x * n) + w)
-          | None -> next_hop_port.(i) <- -1);
-          let v = Pr_core.Discriminator.value t.kind tree x in
-          disc.(i) <- v;
-          disc_q.(i) <- quantise v;
-          distance.(i) <- Dijkstra.distance tree x
-        done
-      end
-    done;
+    Pr_telemetry.Span.timed "fib.delta.spf" (fun () ->
+        for dst = 0 to n - 1 do
+          if dirty.(dst) then begin
+            let tree = Dijkstra.tree geff ~root:dst in
+            for x = 0 to n - 1 do
+              let i = (x * n) + dst in
+              (match Dijkstra.next_hop tree x with
+              | Some w -> next_hop_port.(i) <- t.node_port.((x * n) + w)
+              | None -> next_hop_port.(i) <- -1);
+              let v = Pr_core.Discriminator.value t.kind tree x in
+              disc.(i) <- v;
+              disc_q.(i) <- quantise v;
+              distance.(i) <- Dijkstra.distance tree x
+            done
+          end
+        done);
     (* The LFA CSR is re-laid-out whole (offsets shift), but clean rows
        — destinations with unchanged columns at nodes whose incident
        links were not edited — are copied byte-for-byte. *)
     let lfa_off, lfa_ports =
+      Pr_telemetry.Span.timed "fib.delta.lfa" @@ fun () ->
       lfa_csr g ~width:ports ~port_node:t.port_node ~port_weight
         ~next_hop_port ~live ~dist:distance
         ~fresh:(fun x dst -> touched.(x) || dirty.(dst))

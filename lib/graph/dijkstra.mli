@@ -19,7 +19,9 @@ type tree = private {
 
 val tree : ?blocked:(int -> bool) -> Graph.t -> root:int -> tree
 (** [blocked i] hides edge index [i] (used to model failed links without
-    rebuilding the graph). *)
+    rebuilding the graph).  The frontier is an indexed heap with
+    decrease-key: at most [n] pushes and [n] pops, and no allocation per
+    relaxation. *)
 
 val all_roots : ?blocked:(int -> bool) -> Graph.t -> tree array
 (** One tree per root; index = root id. *)

@@ -232,9 +232,14 @@ let run ?observer ?detection ?(backend = `Reference) ?control ?probe ?linkload
   (* Reconvergence state: the trees packets are currently forwarded on. *)
   let full_spf () =
     incr spf_runs;
-    Dijkstra.all_roots ~blocked:(fun i -> Pr_core.Failure.is_failed_index (Netstate.failures net) i) g
+    let failures = Netstate.failures net in
+    Dijkstra.all_roots ~blocked:(Pr_core.Failure.is_failed_index failures) g
   in
-  let stale_trees = ref (Dijkstra.all_roots g) in
+  (* The failure-free trees are [routing]'s; a fresh array, so the
+     reconvergence state shares no mutable array with [routing]. *)
+  let stale_trees =
+    ref (Array.init (Graph.n g) (Pr_core.Routing.tree routing))
+  in
   (* Jittered model: routers one epoch behind forward on [old_trees]. *)
   let old_trees = ref !stale_trees in
   let new_trees = ref !stale_trees in

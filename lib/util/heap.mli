@@ -1,7 +1,9 @@
 (** Mutable binary min-heap keyed by float priorities.
 
-    Used by Dijkstra's algorithm; supports lazy deletion (duplicate inserts
-    of the same payload are allowed and the consumer skips stale entries). *)
+    The simulator's event queue ([Pr_sim.Event]) is built on it.  Duplicate
+    inserts of the same payload are allowed, so a consumer can delete
+    lazily by skipping stale entries.  ([Pr_graph.Dijkstra] keeps its own
+    indexed heap over node ids.) *)
 
 type 'a t
 

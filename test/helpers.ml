@@ -151,3 +151,49 @@ let lfa_oracle fib ~node ~dst =
         ~cost_of:(fun w -> Fib.eff_weight fib ~u:node ~v:w)
         ~live_of:(fun w -> Fib.link_live fib ~u:node ~v:w)
       |> List.map (fun p -> Fib.neighbour_of fib ~node ~port:p)
+
+(* The shortest-path tree [Pr_graph.Dijkstra.tree] computed before its
+   frontier became an indexed heap: lazy deletion over [Pr_util.Heap]
+   (duplicate entries, FIFO among equal keys) with the same smaller-id
+   parent rule at equal cost.  The oracle for [Dijkstra.tree]. *)
+type oracle_tree = { dist : float array; parent : int array; hops : int array }
+
+let oracle_tree ?(blocked = fun _ -> false) g ~root =
+  let n = Graph.n g in
+  let dist = Array.make n infinity in
+  let parent = Array.make n (-1) in
+  let hops = Array.make n max_int in
+  let settled = Array.make n false in
+  let heap = Pr_util.Heap.create () in
+  dist.(root) <- 0.0;
+  parent.(root) <- root;
+  hops.(root) <- 0;
+  Pr_util.Heap.push heap 0.0 root;
+  let rec drain () =
+    match Pr_util.Heap.pop heap with
+    | None -> ()
+    | Some (d, v) ->
+        if not settled.(v) && d <= dist.(v) then begin
+          settled.(v) <- true;
+          let nbrs = Graph.neighbours g v and via = Graph.neighbour_edges g v in
+          for k = 0 to Array.length nbrs - 1 do
+            let w = nbrs.(k) and e = via.(k) in
+            if not settled.(w) && not (blocked e) then begin
+              let candidate = dist.(v) +. (Graph.edge g e).w in
+              if candidate < dist.(w) then begin
+                dist.(w) <- candidate;
+                parent.(w) <- v;
+                hops.(w) <- hops.(v) + 1;
+                Pr_util.Heap.push heap candidate w
+              end
+              else if candidate = dist.(w) && v < parent.(w) then begin
+                parent.(w) <- v;
+                hops.(w) <- hops.(v) + 1
+              end
+            end
+          done
+        end;
+        drain ()
+  in
+  drain ();
+  { dist; parent; hops }

@@ -102,6 +102,105 @@ let qcheck_hops_consistent =
           | Some path -> List.length path - 1 = Dijkstra.hop_count t src)
         (Helpers.all_pairs g))
 
+(* [Dijkstra.tree] against [Helpers.oracle_tree], the lazy-deletion
+   Dijkstra it replaced: dist (compared with [=]), parent and hops must be
+   bit-identical at every node. *)
+let same_tree t (o : Helpers.oracle_tree) =
+  t.Dijkstra.dist = o.dist && t.Dijkstra.parent = o.parent
+  && t.Dijkstra.hops = o.hops
+
+let same_as_oracle ?blocked g ~root =
+  same_tree (Dijkstra.tree ?blocked g ~root) (Helpers.oracle_tree ?blocked g ~root)
+
+let check_against_oracle what ?blocked g =
+  for root = 0 to Graph.n g - 1 do
+    if not (same_as_oracle ?blocked g ~root) then
+      Alcotest.failf "%s: tree rooted at %d differs from the oracle" what root
+  done
+
+(* A random graph on 2..60 nodes with up to 3n distinct edges, so some
+   draws are disconnected; weights from {1, 2, 3} (equal-cost ties
+   everywhere) or uniform in (0, 10]; and a random blocked edge subset.
+   Fully determined by the seed triple. *)
+let oracle_instance (seed, n, tied) =
+  let rng = Pr_util.Rng.create ~seed in
+  let seen = Hashtbl.create 64 in
+  let edges = ref [] in
+  for _ = 1 to Pr_util.Rng.int rng ((3 * n) + 1) do
+    let u = Pr_util.Rng.int rng n and v = Pr_util.Rng.int rng n in
+    let key = (min u v, max u v) in
+    if u <> v && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      let w =
+        if tied then float_of_int (1 + Pr_util.Rng.int rng 3)
+        else 10.0 -. Pr_util.Rng.float rng 10.0
+      in
+      edges := (u, v, w) :: !edges
+    end
+  done;
+  let g = Graph.create ~n !edges in
+  let p = Pr_util.Rng.float rng 0.4 in
+  let blocked = Array.init (Graph.m g) (fun _ -> Pr_util.Rng.float rng 1.0 < p) in
+  (g, blocked)
+
+let qcheck_oracle =
+  QCheck.Test.make ~name:"every tree equals the lazy-deletion oracle" ~count:300
+    (QCheck.make
+       ~print:(fun (s, n, tied) ->
+         Printf.sprintf "seed=%d n=%d tied=%b" s n tied)
+       QCheck.Gen.(triple (int_bound 1_000_000) (int_range 2 60) bool))
+    (fun inst ->
+      let g, blocked = oracle_instance inst in
+      List.for_all
+        (fun root ->
+          same_as_oracle g ~root
+          && same_as_oracle ~blocked:(Array.get blocked) g ~root)
+        (List.init (Graph.n g) Fun.id))
+
+(* A fixed Waxman instance with the benchmark's waxman-1k parameters at
+   n = 300: Euclidean weights, with and without a blocked set. *)
+let test_oracle_waxman () =
+  let g =
+    (Pr_topo.Generate.waxman (Pr_util.Rng.create ~seed:1) ~n:300 ~alpha:0.05
+       ~beta:0.15)
+      .Pr_topo.Topology.graph
+  in
+  check_against_oracle "waxman-300" g;
+  check_against_oracle "waxman-300 blocked" ~blocked:(fun i -> i mod 7 = 3) g
+
+(* The paper maps through [Routing.build] and [Routing.build_blocked]:
+   every destination's tree equals the oracle's. *)
+let test_oracle_paper_maps () =
+  let module Routing = Pr_core.Routing in
+  List.iter
+    (fun (topo : Pr_topo.Topology.t) ->
+      let g = topo.Pr_topo.Topology.graph in
+      let blocked i = i mod 5 = 1 in
+      let base = Routing.build g in
+      List.iter
+        (fun (what, routing, blocked) ->
+          for dst = 0 to Graph.n g - 1 do
+            if
+              not
+                (same_tree (Routing.tree routing dst)
+                   (Helpers.oracle_tree ?blocked g ~root:dst))
+            then
+              Alcotest.failf "%s %s: tree rooted at %d differs from the oracle"
+                topo.Pr_topo.Topology.name what dst
+          done)
+        [
+          ("build", base, None);
+          ("build_blocked", Routing.build_blocked base ~blocked, Some blocked);
+        ])
+    [
+      Pr_topo.Abilene.topology ();
+      Pr_topo.Geant.topology ();
+      Pr_topo.Teleglobe.topology ();
+      Pr_topo.Abilene.weighted ();
+      Pr_topo.Geant.weighted ();
+      Pr_topo.Teleglobe.weighted ();
+    ]
+
 let suite =
   [
     Alcotest.test_case "distances" `Quick test_distances;
@@ -115,4 +214,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest qcheck_next_hop_walk_reaches_root;
     QCheck_alcotest.to_alcotest qcheck_hops_consistent;
+    QCheck_alcotest.to_alcotest qcheck_oracle;
+    Alcotest.test_case "oracle on waxman-300" `Quick test_oracle_waxman;
+    Alcotest.test_case "oracle on the paper maps via Routing" `Quick
+      test_oracle_paper_maps;
   ]

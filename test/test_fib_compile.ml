@@ -182,6 +182,49 @@ let test_compile_span_coverage () =
     Alcotest.failf "fib.compile.* children cover %.1f%% of fib.compile, want >= 90%%"
       (100.0 *. best)
 
+(* The fib.delta.* children must account for >= 90% of fib.delta.apply
+   on one fixed incremental edit of a 300-node Waxman image: the first
+   node, from n-1 down, whose link towards destination 0 can go down
+   without a full recompile loses that link, which dirties at least
+   column 0.  Best of several applies, as above. *)
+let test_delta_span_coverage () =
+  let topo =
+    Pr_topo.Generate.waxman (Rng.create ~seed:1) ~n:300 ~alpha:0.05 ~beta:0.15
+  in
+  let g = topo.Pr_topo.Topology.graph in
+  let fib = compile (g, Pr_embed.Rotation.adjacency g) in
+  let rec pick x =
+    if x = 0 then Alcotest.fail "no incremental edit towards destination 0"
+    else
+      match Fib.next_hop fib ~node:x ~dst:0 with
+      | None -> pick (x - 1)
+      | Some _ ->
+          let batch = [ edit (tight_link fib ~x ~dst:0) Delta.Down ] in
+          let _, stats = Delta.apply_exn fib batch in
+          if stats.Delta.full then pick (x - 1) else batch
+  in
+  let batch = pick (Fib.n fib - 1) in
+  let once () =
+    let recorder = Span.create () in
+    Span.install recorder;
+    Fun.protect ~finally:Span.uninstall (fun () ->
+        ignore (Delta.apply_exn fib batch : Fib.t * Delta.stats));
+    match Span.roots recorder with
+    | [ root ] ->
+        Alcotest.(check string) "root span" "fib.delta.apply" root.Span.name;
+        Alcotest.(check (list string))
+          "child spans"
+          [ "fib.delta.planes"; "fib.delta.spf"; "fib.delta.lfa" ]
+          (List.map (fun (c : Span.node) -> c.Span.name) root.Span.children);
+        Span.coverage root
+    | roots -> Alcotest.failf "%d root spans, want 1" (List.length roots)
+  in
+  let best = List.fold_left Float.max 0.0 (List.init 7 (fun _ -> once ())) in
+  if best < 0.9 then
+    Alcotest.failf
+      "fib.delta.* children cover %.1f%% of fib.delta.apply, want >= 90%%"
+      (100.0 *. best)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_compile_oracle;
@@ -190,4 +233,6 @@ let suite =
       `Quick test_delta_paper_topologies;
     Alcotest.test_case "fib.compile children cover >= 90% on Geant" `Quick
       test_compile_span_coverage;
+    Alcotest.test_case "fib.delta.apply children cover >= 90% on Waxman-300"
+      `Quick test_delta_span_coverage;
   ]
